@@ -1,16 +1,23 @@
-//! Scale-campaign probe: one streamed churn scenario per **subprocess**,
+//! Scale-campaign probe: one streamed scenario per **subprocess**,
 //! recording wall-clock and peak RSS. The rows land in `BENCH_scale.json`.
 //!
-//! Each case re-executes this binary with `--case <jobs>` so the peak-RSS
+//! Each case re-executes this binary with `--case <name>` so the peak-RSS
 //! reading (`VmHWM` in `/proc/self/status`, the kernel's high-water mark)
 //! belongs to that case alone — a shared process would report the maximum
-//! across cases. The scenario is the scale-campaign configuration the README
-//! documents: streamed generation (no materialised trace), site churn with
-//! WAN degradation and job kills, asynchronous incremental checkpoints, and
-//! bounded monitoring (`max_events` ring + windowed aggregator).
+//! across cases. Two scenarios:
+//!
+//! * `churn` — the scale-campaign configuration the README documents on 12
+//!   sites: streamed generation (no materialised trace), least-loaded, site
+//!   churn with WAN degradation and job kills, asynchronous incremental
+//!   checkpoints, and bounded monitoring (`max_events` ring + windowed
+//!   aggregator);
+//! * `wide` — hundreds of sites: 200 sites, data-aware placement, streamed
+//!   generation, full monitoring, no faults — the regime where the broker's
+//!   per-dispatch grid snapshot and the all-pairs route precompute cost the
+//!   most.
 //!
 //! Run all rows:  `cargo run --release -p cgsim-bench --bin scale_probe`
-//! Run one row:   `cargo run --release -p cgsim-bench --bin scale_probe -- --case 100000`
+//! Run one row:   `cargo run --release -p cgsim-bench --bin scale_probe -- --case 100k_jobs_wide_streamed`
 
 use std::time::Instant;
 
@@ -21,8 +28,19 @@ use cgsim_platform::presets::wlcg_platform;
 use cgsim_platform::{Platform, PlatformSpec};
 use cgsim_workload::{TraceConfig, TraceGenerator};
 
-const SITES: usize = 12;
-const CASES: [usize; 2] = [100_000, 1_000_000];
+/// The scenario of one row.
+#[derive(Clone, Copy)]
+enum Scenario {
+    Churn,
+    Wide,
+}
+
+/// `(row name, jobs, scenario)`, in the order the rows are committed.
+const CASES: [(&str, usize, Scenario); 3] = [
+    ("100k_jobs_churn_streamed", 100_000, Scenario::Churn),
+    ("1m_jobs_churn_streamed", 1_000_000, Scenario::Churn),
+    ("100k_jobs_wide_streamed", 100_000, Scenario::Wide),
+];
 
 fn churn_plan(spec: &PlatformSpec, jobs: usize) -> FaultPlan {
     let config = parse_fault_spec(
@@ -70,29 +88,36 @@ fn peak_rss_mb() -> f64 {
 }
 
 /// Runs one case in-process and prints its row as a single JSON line.
-fn run_case(jobs: usize) {
-    let spec = wlcg_platform(SITES, 42);
+fn run_case(name: &str, jobs: usize, scenario: Scenario) {
+    let (spec, policy, execution, plan) = match scenario {
+        Scenario::Churn => {
+            let spec = wlcg_platform(12, 42);
+            let plan = churn_plan(&spec, jobs);
+            (spec, "least-loaded", scale_exec(), Some(plan))
+        }
+        Scenario::Wide => (
+            wlcg_platform(200, 42),
+            "data-aware",
+            ExecutionConfig::default(),
+            None,
+        ),
+    };
     let generator = TraceGenerator::new(TraceConfig::with_jobs(jobs, 42));
-    let plan = churn_plan(&spec, jobs);
     let started = Instant::now();
-    let results = Simulation::builder()
+    let mut builder = Simulation::builder()
         .platform_spec(&spec)
         .expect("platform builds")
         .trace_stream(generator.stream(&spec))
-        .policy_name("least-loaded")
-        .execution(scale_exec())
-        .fault_plan(plan)
-        .run()
-        .expect("simulation runs");
+        .policy_name(policy)
+        .execution(execution);
+    if let Some(plan) = plan {
+        builder = builder.fault_plan(plan);
+    }
+    let results = builder.run().expect("simulation runs");
     let wall_s = started.elapsed().as_secs_f64();
     assert_eq!(results.outcomes.len(), jobs, "every job must account");
-    let label = if jobs.is_multiple_of(1_000_000) {
-        format!("{}m", jobs / 1_000_000)
-    } else {
-        format!("{}k", jobs / 1_000)
-    };
     println!(
-        "{{\"case\": \"{label}_jobs_churn_streamed\", \"jobs\": {}, \"wall_clock_s\": {:.3}, \
+        "{{\"case\": \"{name}\", \"jobs\": {}, \"wall_clock_s\": {:.3}, \
          \"peak_rss_mb\": {:.1}, \"engine_events\": {}, \"makespan_s\": {:.1}}}",
         jobs,
         wall_s,
@@ -105,24 +130,25 @@ fn run_case(jobs: usize) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if let Some(pos) = args.iter().position(|a| a == "--case") {
-        let jobs: usize = args
-            .get(pos + 1)
-            .and_then(|v| v.parse().ok())
-            .expect("--case takes a job count");
-        run_case(jobs);
+        let wanted = args.get(pos + 1).expect("--case takes a row name");
+        let &(name, jobs, scenario) = CASES
+            .iter()
+            .find(|(name, ..)| name == wanted)
+            .unwrap_or_else(|| panic!("unknown case '{wanted}'"));
+        run_case(name, jobs, scenario);
         return;
     }
 
     // Orchestrator: one subprocess per case so each VmHWM is case-local.
     let exe = std::env::current_exe().expect("own path");
     let mut rows = Vec::new();
-    for jobs in CASES {
-        eprintln!("scale_probe: running {jobs} jobs…");
+    for (name, ..) in CASES {
+        eprintln!("scale_probe: running {name}…");
         let out = std::process::Command::new(&exe)
-            .args(["--case", &jobs.to_string()])
+            .args(["--case", name])
             .output()
             .expect("subprocess runs");
-        assert!(out.status.success(), "case {jobs} failed");
+        assert!(out.status.success(), "case {name} failed");
         let line = String::from_utf8(out.stdout).expect("utf-8 row");
         let row = line.trim().to_string();
         eprintln!("  {row}");

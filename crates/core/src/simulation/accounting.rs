@@ -95,9 +95,9 @@ impl GridModel {
         };
         self.collector.record_outcome(outcome);
 
-        let view = self.grid_view(now, idx);
-        let record = self.jobs[idx].record.clone();
-        self.policy.on_job_completed(&record, site, &view);
+        self.refresh_view(now, idx);
+        self.policy
+            .on_job_completed(&self.jobs[idx].record, site, &self.view);
 
         // Once the whole workload is terminal, stop the fault-event chain so
         // an attached fault plan cannot keep the engine (and the makespan)

@@ -3,10 +3,11 @@
 
 use std::collections::VecDeque;
 
+#[cfg(debug_assertions)]
+use cgsim_data::DatasetId;
 use cgsim_des::{Context, SimTime};
 use cgsim_obs::{SpanPhase, TraceCategory};
 use cgsim_platform::{NodeId, SiteId};
-use cgsim_policies::{GridView, SiteLoad};
 use cgsim_workload::JobState;
 
 use super::events::GridEvent;
@@ -21,41 +22,59 @@ pub(super) struct SiteState {
 }
 
 impl GridModel {
-    /// The dynamic grid snapshot handed to the allocation policy for `idx`.
-    pub(super) fn grid_view(&mut self, now: SimTime, idx: usize) -> GridView {
+    /// Refreshes `self.view`, the one reused dynamic grid snapshot handed to
+    /// the allocation policy, for job `idx`: O(sites) plain array reads plus
+    /// O(replicas of the job's dataset), with no per-site hashing and no
+    /// allocation. A site's cache never holds a dataset without a catalog
+    /// replica there (every cache insert adds one, and a cache is only
+    /// cleared after its site's replicas are evicted), so the catalog alone
+    /// decides `has_input_replica`.
+    pub(super) fn refresh_view(&mut self, now: SimTime, idx: usize) {
+        // Resolved on every refresh: the first call registers the task's
+        // dataset, and skipping it would renumber later `DatasetId`s.
         let dataset = self.task_dataset(idx);
-        let sites = self
-            .platform
-            .sites()
-            .iter()
-            .map(|s| {
-                let state = &self.sites[s.id.index()];
-                let has_replica = self.catalog.has_replica(dataset, NodeId::Site(s.id))
-                    || self.caches[s.id.index()].contains(dataset);
-                SiteLoad {
-                    site: s.id,
-                    available_cores: state.available_cores,
-                    queued_jobs: state.queue.len() as u64,
-                    running_jobs: state.running.len() as u64,
-                    finished_jobs: self.collector.site_counters(s.id.index()).finished,
-                    has_input_replica: has_replica,
-                    up: self.availability.site_up(s.id),
-                    active_repairs: self.repair.site_active[s.id.index()],
-                }
-            })
-            .collect();
-        GridView {
-            now_s: now.as_secs(),
-            sites,
-            pending_jobs: self.pending.len() as u64,
+        let view = &mut self.view;
+        view.now_s = now.as_secs();
+        view.pending_jobs = self.pending.len() as u64;
+        for (i, (load, state)) in view.sites.iter_mut().zip(&self.sites).enumerate() {
+            load.available_cores = state.available_cores;
+            load.queued_jobs = state.queue.len() as u64;
+            load.running_jobs = state.running.len() as u64;
+            load.finished_jobs = self.collector.site_counters(i).finished;
+            load.has_input_replica = false;
+            load.up = self.availability.site_up(load.site);
+            load.active_repairs = self.repair.site_active[i];
+        }
+        for node in self.catalog.replicas(dataset) {
+            if let NodeId::Site(site) = node {
+                view.sites[site.index()].has_input_replica = true;
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.assert_view_replicas_match_scan(dataset);
+    }
+
+    /// Debug-only: the replica-marked `has_input_replica` column must agree
+    /// with the per-site scan it replaced (catalog probe or cache probe).
+    /// The cache side of the invariant is swept on every data loss
+    /// (`assert_caches_hold_catalog_replicas`).
+    #[cfg(debug_assertions)]
+    fn assert_view_replicas_match_scan(&self, dataset: DatasetId) {
+        for (i, load) in self.view.sites.iter().enumerate() {
+            let node = NodeId::Site(load.site);
+            let scan = self.catalog.has_replica(dataset, node) || self.caches[i].contains(dataset);
+            debug_assert_eq!(
+                load.has_input_replica, scan,
+                "replica column diverged from the scan at {node:?} for {dataset:?}"
+            );
         }
     }
 
     /// Asks the allocation policy for a site; dispatches or parks the job.
     pub(super) fn dispatch(&mut self, idx: usize, ctx: &mut Context<'_, GridEvent>) {
         let now = ctx.now();
-        let view = self.grid_view(now, idx);
-        let decision = self.policy.assign_job(&self.jobs[idx].record, &view);
+        self.refresh_view(now, idx);
+        let decision = self.policy.assign_job(&self.jobs[idx].record, &self.view);
         match decision {
             Some(site) if site.index() < self.sites.len() && self.availability.site_up(site) => {
                 if let Some(t) = self.tracer.as_mut() {

@@ -347,6 +347,25 @@ impl GridModel {
         );
     }
 
+    /// Debug-only: every dataset a site cache holds has a catalog replica
+    /// at that site — the invariant that lets the dispatch snapshot read
+    /// replicas from the catalog alone. Data loss is the only path that
+    /// drops a task input's site replica from the catalog (checkpoint
+    /// discards drop checkpoint datasets, which are never cached), so the
+    /// caches are swept after each one.
+    #[cfg(debug_assertions)]
+    fn assert_caches_hold_catalog_replicas(&self) {
+        for (i, cache) in self.caches.iter().enumerate() {
+            let node = NodeId::Site(SiteId::new(i));
+            for dataset in cache.datasets() {
+                debug_assert!(
+                    self.catalog.has_replica(dataset, node),
+                    "{node:?} caches {dataset:?} without a catalog replica"
+                );
+            }
+        }
+    }
+
     /// Cancels and re-plans every in-flight transfer with an endpoint at
     /// `node`, for jobs that are still alive: input staging re-plans from
     /// the surviving replicas, a checkpoint restore falls back to the next
@@ -361,7 +380,10 @@ impl GridModel {
     /// deterministic.
     fn repair_transfers_touching(&mut self, node: NodeId, ctx: &mut Context<'_, GridEvent>) {
         #[cfg(debug_assertions)]
-        self.assert_touch_index_matches_scan(node);
+        {
+            self.assert_touch_index_matches_scan(node);
+            self.assert_caches_hold_catalog_replicas();
+        }
         // Snapshot: each repair re-plans its job, which re-indexes it under
         // the new (surviving) endpoints while we iterate.
         let victims = self.transfer_touch[self.node_index(node)].clone();
@@ -595,9 +617,9 @@ impl GridModel {
             }
         }
 
-        let view = self.grid_view(now, idx);
-        let record = self.jobs[idx].record.clone();
-        self.policy.on_job_interrupted(&record, site, &view);
+        self.refresh_view(now, idx);
+        self.policy
+            .on_job_interrupted(&self.jobs[idx].record, site, &self.view);
 
         if self.jobs[idx].fault_retries < self.execution.fault_max_retries {
             self.jobs[idx].fault_retries += 1;
@@ -611,7 +633,11 @@ impl GridModel {
                         NodeId::Site(s) => Some(s),
                         NodeId::MainServer => None,
                     };
-                    self.policy.on_job_restored(&record, checkpoint_site, &view);
+                    self.policy.on_job_restored(
+                        &self.jobs[idx].record,
+                        checkpoint_site,
+                        &self.view,
+                    );
                 }
             }
             self.jobs[idx].site = None;

@@ -40,7 +40,8 @@ use cgsim_monitor::{MetricsReport, MonitoringCollector};
 use cgsim_obs::{Profiler, SpanPhase, Subsystem, TraceSink, Tracer};
 use cgsim_platform::{GridAvailability, Platform, PlatformSpec};
 use cgsim_policies::{
-    AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, PolicyRegistry,
+    AllocationPolicy, DataMovementPolicy, DataPolicyRegistry, GridInfo, GridView, PolicyRegistry,
+    SiteLoad,
 };
 use cgsim_workload::{JobRecord, Trace};
 
@@ -100,6 +101,9 @@ struct GridModel {
     jobs: Vec<JobRuntime>,
     sites: Vec<SiteState>,
     pending: VecDeque<usize>,
+    /// The dispatch snapshot handed to policy hooks, refreshed in place by
+    /// `refresh_view` (one entry per site, allocated once).
+    view: GridView,
     rng: Rng,
     // Fluid model state. The per-activity bookkeeping is slab-parallel to
     // the fluid model's slots (see `cgsim_des::fluid::ActivityMap`): lookups
@@ -194,6 +198,24 @@ impl GridModel {
                 running: Vec::new(),
             })
             .collect();
+        let view = GridView {
+            now_s: 0.0,
+            sites: platform
+                .sites()
+                .iter()
+                .map(|s| SiteLoad {
+                    site: s.id,
+                    available_cores: 0,
+                    queued_jobs: 0,
+                    running_jobs: 0,
+                    finished_jobs: 0,
+                    has_input_replica: false,
+                    up: true,
+                    active_repairs: 0,
+                })
+                .collect(),
+            pending_jobs: 0,
+        };
         let caches = platform
             .sites()
             .iter()
@@ -221,6 +243,7 @@ impl GridModel {
             jobs,
             sites,
             pending: VecDeque::new(),
+            view,
             fluid,
             link_resources,
             cpu_resources,

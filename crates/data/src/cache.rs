@@ -50,9 +50,9 @@ struct Node {
 ///
 /// Implemented as a slab-backed intrusive doubly-linked recency list plus a
 /// `DatasetId → slot` index, so `contains`/`lookup`/`insert` are all O(1).
-/// (The first cut was a `VecDeque` scanned linearly per operation; the
-/// broker's `grid_view` probes every site cache on every dispatch, which at
-/// 10⁶ jobs with ~20k live datasets turned the whole simulation quadratic.)
+/// (The first cut was a `VecDeque` scanned linearly per operation, which
+/// at 10⁶ jobs with ~20k live datasets turned the whole simulation
+/// quadratic.)
 /// The index is used for point lookups only — never iterated — so the cache
 /// stays deterministic.
 #[derive(Debug, Clone)]
@@ -157,6 +157,17 @@ impl LruCache {
         self.index.contains_key(&dataset)
     }
 
+    /// Cached datasets, least recently used first (recency order, so the
+    /// iteration is deterministic).
+    pub fn datasets(&self) -> impl Iterator<Item = DatasetId> + '_ {
+        let mut slot = self.head;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(slot)?;
+            slot = node.next;
+            Some(node.dataset)
+        })
+    }
+
     /// Drops every cached dataset (a site outage wipes the site cache);
     /// statistics are preserved, evictions are not counted. Returns the
     /// number of datasets dropped.
@@ -254,6 +265,8 @@ mod tests {
         assert!(cache.contains(ds(3)));
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.used_bytes() <= cache.capacity_bytes());
+        // Recency order, least recently used first; the evicted slot is gone.
+        assert_eq!(cache.datasets().collect::<Vec<_>>(), vec![ds(1), ds(3)]);
     }
 
     #[test]

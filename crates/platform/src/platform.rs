@@ -231,7 +231,8 @@ impl Platform {
             edge_links.push(link_id);
         }
 
-        // Precompute routes between every pair of endpoints.
+        // Precompute routes between every pair of endpoints: one
+        // shortest-path tree per source, O(V³) in all.
         let node_ids: Vec<NodeId> = std::iter::once(NodeId::MainServer)
             .chain(sites.iter().map(|s| NodeId::Site(s.id)))
             .collect();
@@ -243,6 +244,7 @@ impl Platform {
         };
         let mut routes = HashMap::new();
         for &from in &node_ids {
+            let tree = graph.shortest_path_tree(graph_node(from));
             for &to in &node_ids {
                 if from == to {
                     routes.insert(
@@ -255,12 +257,12 @@ impl Platform {
                     );
                     continue;
                 }
-                let path = graph
-                    .shortest_path(graph_node(from), graph_node(to))
-                    .ok_or(PlatformError::Unreachable {
-                        from: from.to_string(),
-                        to: to.to_string(),
-                    })?;
+                let path =
+                    tree.path_to(&graph, graph_node(to))
+                        .ok_or(PlatformError::Unreachable {
+                            from: from.to_string(),
+                            to: to.to_string(),
+                        })?;
                 let mut route_links: Vec<LinkId> =
                     path.edges.iter().map(|&e| edge_links[e]).collect();
                 // Transfers terminating (or originating) at a site also cross

@@ -35,6 +35,44 @@ pub struct Path {
     pub min_bandwidth_bps: f64,
 }
 
+/// The shortest-path tree of one source node (see
+/// [`Graph::shortest_path_tree`]).
+#[derive(Debug, Clone)]
+pub struct PathTree {
+    from: usize,
+    dist: Vec<f64>,
+    /// Parent node and the edge leading from it, per reached node.
+    prev: Vec<Option<(usize, usize)>>,
+}
+
+impl PathTree {
+    /// The tree's path to `to`, or `None` when `to` is unreachable. `graph`
+    /// must be the graph the tree was built from.
+    pub fn path_to(&self, graph: &Graph, to: usize) -> Option<Path> {
+        if self.dist[to].is_infinite() {
+            return None;
+        }
+        let mut edges = Vec::new();
+        let mut latency = 0.0;
+        let mut min_bw = f64::INFINITY;
+        let mut cursor = to;
+        while cursor != self.from {
+            let (parent, edge_idx) = self.prev[cursor]?;
+            edges.push(edge_idx);
+            let props = graph.edges[edge_idx].2;
+            latency += props.latency_s;
+            min_bw = min_bw.min(props.bandwidth_bps);
+            cursor = parent;
+        }
+        edges.reverse();
+        Some(Path {
+            edges,
+            latency_s: latency,
+            min_bandwidth_bps: min_bw,
+        })
+    }
+}
+
 impl Graph {
     /// Creates an empty graph.
     pub fn new() -> Self {
@@ -76,21 +114,20 @@ impl Graph {
     /// when the nodes are disconnected. A path from a node to itself is the
     /// empty path.
     pub fn shortest_path(&self, from: usize, to: usize) -> Option<Path> {
-        if from == to {
-            return Some(Path {
-                edges: Vec::new(),
-                latency_s: 0.0,
-                min_bandwidth_bps: f64::INFINITY,
-            });
-        }
+        self.shortest_path_tree(from).path_to(self, to)
+    }
+
+    /// Lowest-latency paths from `from` to every node: one O(V²) Dijkstra
+    /// (strict `<` relaxation, lowest node index wins distance ties, every
+    /// edge weighted `latency + 1e-9` so zero-latency hops still count).
+    /// All-pairs routing builds one tree per source instead of one search
+    /// per pair.
+    pub fn shortest_path_tree(&self, from: usize) -> PathTree {
         let n = self.adjacency.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<(usize, usize)>> = vec![None; n];
         let mut visited = vec![false; n];
         dist[from] = 0.0;
-
-        // Simple O(V^2) Dijkstra: platform graphs have at most a few hundred
-        // nodes, so this is never the bottleneck.
         for _ in 0..n {
             let mut u = None;
             let mut best = f64::INFINITY;
@@ -101,9 +138,6 @@ impl Graph {
                 }
             }
             let Some(u) = u else { break };
-            if u == to {
-                break;
-            }
             visited[u] = true;
             for &(v, edge_idx) in &self.adjacency[u] {
                 let weight = self.edges[edge_idx].2.latency_s.max(0.0) + 1e-9;
@@ -113,28 +147,7 @@ impl Graph {
                 }
             }
         }
-
-        if dist[to].is_infinite() {
-            return None;
-        }
-        let mut edges = Vec::new();
-        let mut latency = 0.0;
-        let mut min_bw = f64::INFINITY;
-        let mut cursor = to;
-        while cursor != from {
-            let (parent, edge_idx) = prev[cursor]?;
-            edges.push(edge_idx);
-            let props = self.edges[edge_idx].2;
-            latency += props.latency_s;
-            min_bw = min_bw.min(props.bandwidth_bps);
-            cursor = parent;
-        }
-        edges.reverse();
-        Some(Path {
-            edges,
-            latency_s: latency,
-            min_bandwidth_bps: min_bw,
-        })
+        PathTree { from, dist, prev }
     }
 
     /// True if every node can reach every other node.
@@ -228,6 +241,22 @@ mod tests {
         assert!(g.is_connected());
         let path = g.shortest_path(leaves[0], leaves[9]).unwrap();
         assert_eq!(path.edges.len(), 2);
+    }
+
+    #[test]
+    fn tree_breaks_distance_ties_towards_the_lower_index() {
+        // a-b-d and a-c-d are equally long: d keeps the parent popped first
+        // (b, the lower index), whatever the destination asked for.
+        let mut g = Graph::new();
+        let [a, b, c, d] = [g.add_node(), g.add_node(), g.add_node(), g.add_node()];
+        let ab = g.add_edge(a, b, props(5.0, 1e9));
+        g.add_edge(a, c, props(5.0, 1e9));
+        g.add_edge(c, d, props(5.0, 1e9));
+        let bd = g.add_edge(b, d, props(5.0, 1e9));
+        let tree = g.shortest_path_tree(a);
+        assert_eq!(tree.path_to(&g, d).unwrap().edges, vec![ab, bd]);
+        assert_eq!(g.shortest_path(a, d).unwrap().edges, vec![ab, bd]);
+        assert_eq!(tree.path_to(&g, a).unwrap().edges, Vec::<usize>::new());
     }
 
     #[test]
